@@ -7,7 +7,6 @@ from .algebra import (
     poly_eval,
     poly_gcd,
     resultant,
-    roots_float,
     sylvester,
 )
 from .criteria import (
@@ -16,6 +15,8 @@ from .criteria import (
     Concept,
     ConceptReport,
     DaeTriple,
+    SystemInvariants,
+    analyse,
     behaviourally_controllable,
     behaviourally_stabilizable,
     completely_controllable,
@@ -45,8 +46,7 @@ from .pencil import (
     build_pencil,
     generic_rank,
     minor_gcd,
-    rank_everywhere_ge,
-    rank_on_closed_rhp_ge,
+    rank_attained,
 )
 
 __version__ = "0.1.0"

@@ -1,8 +1,6 @@
 """Exact univariate polynomial algebra over the rationals.
 
-Coefficients are `fractions.Fraction`; everything in here is exact except
-`roots_float`, which is a numpy-based oracle reserved for cross-checking in
-tests and never consulted by any verdict path.
+Coefficients are `fractions.Fraction`; everything in here is exact.
 """
 
 from __future__ import annotations
@@ -225,13 +223,3 @@ def hurwitz_stable(p: Poly) -> bool:
         if H.submatrix(sel, sel).det() <= 0:
             return False
     return True
-
-
-def roots_float(p: Poly):
-    """Approximate complex roots via numpy; test oracle only."""
-    import numpy as np
-
-    if p.is_zero() or p.is_constant():
-        raise ValueError("roots_float needs degree >= 1")
-    desc = [float(c) for c in reversed(p.coeffs)]
-    return [complex(r) for r in np.roots(desc)]

@@ -12,7 +12,15 @@ import argparse
 import json
 import sys
 
-from .criteria import AS_WRITTEN, WITH_E, Concept, DAE_CONCEPTS, DaeTriple, evaluate
+from .criteria import (
+    AS_WRITTEN,
+    WITH_E,
+    Concept,
+    DAE_CONCEPTS,
+    DaeTriple,
+    SystemInvariants,
+    evaluate,
+)
 from .experiment import RunConfig, SampleSpec, write_survey, cross_validate
 
 EXIT_INPUT_ERROR = 2
@@ -46,11 +54,12 @@ def cmd_check(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    reports = []
-    for c in concepts:
-        if c is Concept.ODE_CONTROLLABLE and triple.l != triple.n:
-            continue
-        reports.append(evaluate(c, triple, args.strong_variant))
+    inv = SystemInvariants(triple)
+    reports = [
+        evaluate(c, inv, args.strong_variant)
+        for c in concepts
+        if c is not Concept.ODE_CONTROLLABLE or triple.l == triple.n
+    ]
 
     if args.format == "json":
         payload = [

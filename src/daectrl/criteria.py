@@ -1,42 +1,25 @@
 """Concept predicates for linear differential-algebraic systems (E, A, B).
 
 Eight DAE controllability/stabilizability concepts plus the classical
-Kalman test for square ODE systems, each decided exactly from block ranks
-and pencil rank certificates, together with the closed-form table saying
-for which dimensions (l, n, m) each concept is generic.
+Kalman test for square ODE systems, together with the closed-form table
+saying for which dimensions (l, n, m) each concept is generic. The eight
+DAE concepts are decided exactly, as formulas over one shared analysis of
+the triple: block ranks and the pencil's rank certificate.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from functools import cached_property
+from typing import Dict, Optional, Union
 
 from .algebra import Poly
 from .matrix import RatMatrix, hconcat, parse_matrix
-from .algebra import hurwitz_stable
-from .pencil import build_pencil, generic_rank, minor_gcd
+from .pencil import PolyMatrix, build_pencil, generic_rank, minor_gcd, rank_attained
 
 AS_WRITTEN = "as-written"
 WITH_E = "with-e"
-
-
-def _pencil_certificate(pm, d):
-    """(gcd of order-d minors, holds everywhere, holds on Re >= 0).
-
-    d must not exceed min(pm.rows, pm.cols). A zero gcd means rank < d at
-    every point; a nonzero constant means no drop point at all; otherwise
-    the drop points are exactly the gcd roots and the half-plane verdict
-    is the Hurwitz test.
-    """
-    g = minor_gcd(pm, d)
-    if d == 0:
-        return g, True, True
-    if g.is_zero():
-        return g, False, False
-    if g.is_constant():
-        return g, True, True
-    return g, False, hurwitz_stable(g)
 
 
 class Concept(enum.Enum):
@@ -84,6 +67,8 @@ class DaeTriple:
 
     @staticmethod
     def from_strings(obj) -> "DaeTriple":
+        if not isinstance(obj, dict):
+            raise ValueError("a triple must be an object with blocks E, A, B")
         for key in ("E", "A", "B"):
             if key not in obj:
                 raise ValueError(f"missing block {key!r}")
@@ -108,61 +93,105 @@ class ConceptReport:
     drop_polynomial: Optional[Poly] = None
 
 
-def freely_initializable(t: DaeTriple) -> ConceptReport:
+class SystemInvariants:
+    """The invariants of one triple that every DAE concept is a formula over.
+
+    Four block ranks (Z spans ker E), the generic rank g of the pencil
+    [xE - A, B] and the monic gcd of its order-g minors, whose roots are
+    exactly where the pencil drops below rank g. Each is computed on first
+    use and at most once, so one analysis serves every concept, and the
+    rank-only concepts never build the pencil.
+    """
+
+    def __init__(self, t: DaeTriple):
+        self.t = t
+
+    @cached_property
+    def AZ(self) -> RatMatrix:
+        return self.t.A @ self.t.E.kernel_basis()
+
+    @cached_property
+    def r_eb(self) -> int:
+        return hconcat([self.t.E, self.t.B]).rank()
+
+    @cached_property
+    def r(self) -> int:
+        """rk [E, A, B]."""
+        return hconcat([self.t.E, self.t.A, self.t.B]).rank()
+
+    @cached_property
+    def r_eazb(self) -> int:
+        return hconcat([self.t.E, self.AZ, self.t.B]).rank()
+
+    @cached_property
+    def r_azb(self) -> int:
+        return hconcat([self.AZ, self.t.B]).rank()
+
+    @cached_property
+    def pencil(self) -> PolyMatrix:
+        return build_pencil(self.t.E, self.t.A, self.t.B)
+
+    @cached_property
+    def g(self) -> int:
+        return generic_rank(self.pencil)
+
+    @cached_property
+    def drop(self) -> Poly:
+        return minor_gcd(self.pencil, self.g)
+
+    @property
+    def everywhere(self) -> bool:
+        """The pencil has rank g at every complex lambda."""
+        return rank_attained(self.drop)
+
+    @cached_property
+    def on_rhp(self) -> bool:
+        """The pencil has rank g at every lambda with Re >= 0."""
+        return rank_attained(self.drop, closed_rhp=True)
+
+    @property
+    def drop_at_r(self) -> Optional[Poly]:
+        """The drop polynomial if g = rk [E, A, B], else None: the complete
+        and strong concepts need rank r at every lambda, which g < r rules out."""
+        return self.drop if self.g == self.r else None
+
+
+def analyse(t: Union[DaeTriple, SystemInvariants]) -> SystemInvariants:
+    """The analysis of a triple; an analysis is returned as is. Every
+    predicate below takes either, so several concepts can share one."""
+    return t if isinstance(t, SystemInvariants) else SystemInvariants(t)
+
+
+def freely_initializable(t) -> ConceptReport:
     """rk [E, B] = rk [E, A, B]."""
-    r_eb = hconcat([t.E, t.B]).rank()
-    r_eab = hconcat([t.E, t.A, t.B]).rank()
-    return ConceptReport(
-        Concept.FREELY_INITIALIZABLE,
-        r_eb == r_eab,
-        {"rk[E,B]": r_eb, "rk[E,A,B]": r_eab},
-    )
+    i = analyse(t)
+    ranks = {"rk[E,B]": i.r_eb, "rk[E,A,B]": i.r}
+    return ConceptReport(Concept.FREELY_INITIALIZABLE, i.r_eb == i.r, ranks)
 
 
-def impulse_controllable(t: DaeTriple) -> ConceptReport:
+def impulse_controllable(t) -> ConceptReport:
     """rk [E, A, B] = rk [E, AZ, B] with im Z = ker E."""
-    Z = t.E.kernel_basis()
-    r_eab = hconcat([t.E, t.A, t.B]).rank()
-    r_eazb = hconcat([t.E, t.A @ Z, t.B]).rank()
-    return ConceptReport(
-        Concept.IMPULSE_CONTROLLABLE,
-        r_eab == r_eazb,
-        {"rk[E,A,B]": r_eab, "rk[E,AZ,B]": r_eazb},
-    )
+    i = analyse(t)
+    ranks = {"rk[E,A,B]": i.r, "rk[E,AZ,B]": i.r_eazb}
+    return ConceptReport(Concept.IMPULSE_CONTROLLABLE, i.r == i.r_eazb, ranks)
 
 
-def completely_controllable(t: DaeTriple) -> ConceptReport:
+def completely_controllable(t) -> ConceptReport:
     """rk [E, A, B] = rk [E, B] = rk [lambda E - A, B] for all complex lambda."""
-    r = hconcat([t.E, t.A, t.B]).rank()
-    r_eb = hconcat([t.E, t.B]).rank()
-    pm = build_pencil(t.E, t.A, t.B)
-    g = generic_rank(pm)
-    drop, everywhere = None, False
-    if g == r:
-        drop, everywhere, _ = _pencil_certificate(pm, r)
-    ok = r_eb == r and everywhere
-    return ConceptReport(
-        Concept.COMPLETELY_CONTROLLABLE,
-        ok,
-        {"rk[E,A,B]": r, "rk[E,B]": r_eb, "generic_pencil_rank": g},
-        drop_polynomial=drop,
-    )
+    i = analyse(t)
+    ranks = {"rk[E,A,B]": i.r, "rk[E,B]": i.r_eb, "generic_pencil_rank": i.g}
+    ok = i.r_eb == i.r and i.g == i.r and i.everywhere
+    return ConceptReport(Concept.COMPLETELY_CONTROLLABLE, ok, ranks, i.drop_at_r)
 
 
-def behaviourally_controllable(t: DaeTriple) -> ConceptReport:
+def behaviourally_controllable(t) -> ConceptReport:
     """Generic pencil rank is attained at every complex lambda."""
-    pm = build_pencil(t.E, t.A, t.B)
-    g = generic_rank(pm)
-    drop, everywhere, _ = _pencil_certificate(pm, g)
-    return ConceptReport(
-        Concept.BEHAVIOURALLY_CONTROLLABLE,
-        everywhere,
-        {"generic_pencil_rank": g},
-        drop_polynomial=drop,
-    )
+    i = analyse(t)
+    ranks = {"generic_pencil_rank": i.g}
+    return ConceptReport(Concept.BEHAVIOURALLY_CONTROLLABLE, i.everywhere, ranks, i.drop)
 
 
-def strongly_controllable(t: DaeTriple, variant: str = AS_WRITTEN) -> ConceptReport:
+def strongly_controllable(t, variant: str = AS_WRITTEN) -> ConceptReport:
     """rk [E, A, B] = rk [AZ, B] = rk [lambda E - A, B] for all lambda.
 
     variant "as-written" uses [AZ, B] for the middle block; "with-e"
@@ -170,76 +199,34 @@ def strongly_controllable(t: DaeTriple, variant: str = AS_WRITTEN) -> ConceptRep
     """
     if variant not in (AS_WRITTEN, WITH_E):
         raise ValueError(f"unknown variant {variant!r}")
-    Z = t.E.kernel_basis()
-    r = hconcat([t.E, t.A, t.B]).rank()
-    if variant == AS_WRITTEN:
-        mid_name = "rk[AZ,B]"
-        mid = hconcat([t.A @ Z, t.B]).rank()
-    else:
-        mid_name = "rk[E,AZ,B]"
-        mid = hconcat([t.E, t.A @ Z, t.B]).rank()
-    pm = build_pencil(t.E, t.A, t.B)
-    g = generic_rank(pm)
-    drop, everywhere = None, False
-    if g == r:
-        drop, everywhere, _ = _pencil_certificate(pm, r)
-    ok = mid == r and everywhere
-    return ConceptReport(
-        Concept.STRONGLY_CONTROLLABLE,
-        ok,
-        {"rk[E,A,B]": r, mid_name: mid, "generic_pencil_rank": g},
-        drop_polynomial=drop,
-    )
+    i = analyse(t)
+    mid, r_mid = ("rk[AZ,B]", i.r_azb) if variant == AS_WRITTEN else ("rk[E,AZ,B]", i.r_eazb)
+    ranks = {"rk[E,A,B]": i.r, mid: r_mid, "generic_pencil_rank": i.g}
+    ok = r_mid == i.r and i.g == i.r and i.everywhere
+    return ConceptReport(Concept.STRONGLY_CONTROLLABLE, ok, ranks, i.drop_at_r)
 
 
-def completely_stabilizable(t: DaeTriple) -> ConceptReport:
+def completely_stabilizable(t) -> ConceptReport:
     """Complete controllability with lambda restricted to Re >= 0."""
-    r = hconcat([t.E, t.A, t.B]).rank()
-    r_eb = hconcat([t.E, t.B]).rank()
-    pm = build_pencil(t.E, t.A, t.B)
-    g = generic_rank(pm)
-    drop, on_rhp = None, False
-    if g == r:
-        drop, _, on_rhp = _pencil_certificate(pm, r)
-    ok = r_eb == r and on_rhp
-    return ConceptReport(
-        Concept.COMPLETELY_STABILIZABLE,
-        ok,
-        {"rk[E,A,B]": r, "rk[E,B]": r_eb, "generic_pencil_rank": g},
-        drop_polynomial=drop,
-    )
+    i = analyse(t)
+    ranks = {"rk[E,A,B]": i.r, "rk[E,B]": i.r_eb, "generic_pencil_rank": i.g}
+    ok = i.r_eb == i.r and i.g == i.r and i.on_rhp
+    return ConceptReport(Concept.COMPLETELY_STABILIZABLE, ok, ranks, i.drop_at_r)
 
 
-def strongly_stabilizable(t: DaeTriple) -> ConceptReport:
+def strongly_stabilizable(t) -> ConceptReport:
     """rk [E, A, B] = rk [E, AZ, B] = rk [lambda E - A, B] on Re >= 0."""
-    Z = t.E.kernel_basis()
-    r = hconcat([t.E, t.A, t.B]).rank()
-    r_eazb = hconcat([t.E, t.A @ Z, t.B]).rank()
-    pm = build_pencil(t.E, t.A, t.B)
-    g = generic_rank(pm)
-    drop, on_rhp = None, False
-    if g == r:
-        drop, _, on_rhp = _pencil_certificate(pm, r)
-    ok = r_eazb == r and on_rhp
-    return ConceptReport(
-        Concept.STRONGLY_STABILIZABLE,
-        ok,
-        {"rk[E,A,B]": r, "rk[E,AZ,B]": r_eazb, "generic_pencil_rank": g},
-        drop_polynomial=drop,
-    )
+    i = analyse(t)
+    ranks = {"rk[E,A,B]": i.r, "rk[E,AZ,B]": i.r_eazb, "generic_pencil_rank": i.g}
+    ok = i.r_eazb == i.r and i.g == i.r and i.on_rhp
+    return ConceptReport(Concept.STRONGLY_STABILIZABLE, ok, ranks, i.drop_at_r)
 
 
-def behaviourally_stabilizable(t: DaeTriple) -> ConceptReport:
+def behaviourally_stabilizable(t) -> ConceptReport:
     """Generic pencil rank is attained at every lambda with Re >= 0."""
-    pm = build_pencil(t.E, t.A, t.B)
-    g = generic_rank(pm)
-    drop, _, on_rhp = _pencil_certificate(pm, g)
-    return ConceptReport(
-        Concept.BEHAVIOURALLY_STABILIZABLE,
-        on_rhp,
-        {"generic_pencil_rank": g},
-        drop_polynomial=drop,
-    )
+    i = analyse(t)
+    ranks = {"generic_pencil_rank": i.g}
+    return ConceptReport(Concept.BEHAVIOURALLY_STABILIZABLE, i.on_rhp, ranks, i.drop)
 
 
 def kalman_controllable(A: RatMatrix, B: RatMatrix) -> ConceptReport:
@@ -260,24 +247,27 @@ def kalman_controllable(A: RatMatrix, B: RatMatrix) -> ConceptReport:
     )
 
 
-def evaluate(concept: Concept, t: DaeTriple, strong_variant: str = AS_WRITTEN) -> ConceptReport:
-    """Run one concept predicate on a triple."""
+def evaluate(concept: Concept, t, strong_variant: str = AS_WRITTEN) -> ConceptReport:
+    """Run one concept predicate on a triple or on its analysis."""
     if concept is Concept.ODE_CONTROLLABLE:
+        t = analyse(t).t
         if t.l != t.n:
             raise ValueError("ODE controllability needs l = n (square A)")
         return kalman_controllable(t.A, t.B)
     if concept is Concept.STRONGLY_CONTROLLABLE:
         return strongly_controllable(t, strong_variant)
-    fn = {
-        Concept.FREELY_INITIALIZABLE: freely_initializable,
-        Concept.IMPULSE_CONTROLLABLE: impulse_controllable,
-        Concept.COMPLETELY_CONTROLLABLE: completely_controllable,
-        Concept.BEHAVIOURALLY_CONTROLLABLE: behaviourally_controllable,
-        Concept.COMPLETELY_STABILIZABLE: completely_stabilizable,
-        Concept.STRONGLY_STABILIZABLE: strongly_stabilizable,
-        Concept.BEHAVIOURALLY_STABILIZABLE: behaviourally_stabilizable,
-    }[concept]
-    return fn(t)
+    return _PREDICATES[concept](t)
+
+
+_PREDICATES = {
+    Concept.FREELY_INITIALIZABLE: freely_initializable,
+    Concept.IMPULSE_CONTROLLABLE: impulse_controllable,
+    Concept.COMPLETELY_CONTROLLABLE: completely_controllable,
+    Concept.BEHAVIOURALLY_CONTROLLABLE: behaviourally_controllable,
+    Concept.COMPLETELY_STABILIZABLE: completely_stabilizable,
+    Concept.STRONGLY_STABILIZABLE: strongly_stabilizable,
+    Concept.BEHAVIOURALLY_STABILIZABLE: behaviourally_stabilizable,
+}
 
 
 def genericity_predicted(concept: Concept, l: int, n: int, m: int) -> bool:

@@ -14,7 +14,8 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from itertools import product
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .criteria import (
     AS_WRITTEN,
@@ -22,6 +23,7 @@ from .criteria import (
     Concept,
     DAE_CONCEPTS,
     DaeTriple,
+    SystemInvariants,
     evaluate,
     genericity_predicted,
     strongly_controllable,
@@ -29,28 +31,19 @@ from .criteria import (
 from .gauss import apply_T, backsub_kernel
 from .matrix import RatMatrix, hconcat, rank_by_minors
 
-RATIONAL_UNIFORM = "rational-uniform"
-FLOAT_NORMAL = "float-normal-rationalized"
-
 
 @dataclass(frozen=True)
 class SampleSpec:
     seed: int
     trials: int
-    distribution: str = RATIONAL_UNIFORM
-    # RationalUniform: numerators uniform on [-bound, bound], denominators
-    # uniform on [1, bound]. FloatNormalRationalized: gaussians rounded to
-    # multiples of 1/denominator_scale.
+    # Numerators uniform on [-bound, bound], denominators on [1, bound].
     bound: int = 100
-    denominator_scale: int = 10**6
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.bound < 1:
             raise ValueError("bound must be >= 1")
-        if self.distribution not in (RATIONAL_UNIFORM, FLOAT_NORMAL):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
 
 
 @dataclass(frozen=True)
@@ -96,12 +89,9 @@ def _trial_rng(spec: SampleSpec, l: int, n: int, m: int, stream: int) -> random.
 
 
 def _draw(rng: random.Random, spec: SampleSpec) -> Fraction:
-    if spec.distribution == RATIONAL_UNIFORM:
-        num = rng.randint(-spec.bound, spec.bound)
-        den = rng.randint(1, spec.bound)
-        return Fraction(num, den)
-    g = rng.gauss(0.0, 1.0)
-    return Fraction(round(g * spec.denominator_scale), spec.denominator_scale)
+    num = rng.randint(-spec.bound, spec.bound)
+    den = rng.randint(1, spec.bound)
+    return Fraction(num, den)
 
 
 def sample_triple(spec: SampleSpec, l: int, n: int, m: int, stream: int) -> DaeTriple:
@@ -113,6 +103,19 @@ def sample_triple(spec: SampleSpec, l: int, n: int, m: int, stream: int) -> DaeT
     return DaeTriple(E, A, B)
 
 
+def _tally(
+    concepts: Sequence[Concept], l: int, n: int, m: int, spec: SampleSpec, strong_variant: str
+) -> Dict[Concept, int]:
+    """Hits per concept at (l, n, m): each triple is sampled and analysed
+    once, and every concept is decided from that one analysis."""
+    hits = dict.fromkeys(concepts, 0)
+    for stream in range(spec.trials if hits else 0):
+        inv = SystemInvariants(sample_triple(spec, l, n, m, stream))
+        for concept in hits:
+            hits[concept] += evaluate(concept, inv, strong_variant).verdict
+    return hits
+
+
 def estimate_frequency(
     concept: Concept,
     l: int,
@@ -122,31 +125,26 @@ def estimate_frequency(
     strong_variant: str = AS_WRITTEN,
 ) -> FrequencyRow:
     """Empirical frequency of the concept over seeded random triples."""
-    hits = 0
-    for stream in range(spec.trials):
-        t = sample_triple(spec, l, n, m, stream)
-        if evaluate(concept, t, strong_variant).verdict:
-            hits += 1
+    hits = _tally([concept], l, n, m, spec, strong_variant)[concept]
     return FrequencyRow(
         concept, (l, n, m), spec.trials, hits, genericity_predicted(concept, l, n, m)
     )
 
 
 def run_survey(config: RunConfig) -> List[FrequencyRow]:
-    """All (concept, l, n, m) cells of the grid, in deterministic order."""
-    rows = []
-    for concept in config.concepts:
-        for l in range(1, config.lmax + 1):
-            for n in range(1, config.nmax + 1):
-                for m in range(1, config.mmax + 1):
-                    if concept is Concept.ODE_CONTROLLABLE and l != n:
-                        continue
-                    rows.append(
-                        estimate_frequency(
-                            concept, l, n, m, config.spec, config.strong_variant
-                        )
-                    )
-    return rows
+    """All (concept, l, n, m) cells of the grid, in deterministic order:
+    concept-major, then l, n, m ascending; ODE cells only where l = n."""
+    grid = range(1, config.lmax + 1), range(1, config.nmax + 1), range(1, config.mmax + 1)
+    hits = {}
+    for l, n, m in product(*grid):
+        concepts = [c for c in config.concepts if c is not Concept.ODE_CONTROLLABLE or l == n]
+        hits[l, n, m] = _tally(concepts, l, n, m, config.spec, config.strong_variant)
+    return [
+        FrequencyRow(concept, d, config.spec.trials, h[concept], genericity_predicted(concept, *d))
+        for concept in config.concepts
+        for d, h in hits.items()
+        if concept in h
+    ]
 
 
 CSV_COLUMNS = [
@@ -223,8 +221,9 @@ def cross_validate(t: DaeTriple) -> CrossValidationReport:
     former applies, and the two strong-controllability variants.
     """
     discrepancies = []
+    inv = SystemInvariants(t)
     eab = hconcat([t.E, t.A, t.B])
-    r_elim = eab.rank()
+    r_elim = inv.r
     r_minor = None
     if max(eab.rows, eab.cols) <= 8 and min(eab.rows, eab.cols) <= 4:
         r_minor = rank_by_minors(eab)
@@ -250,8 +249,8 @@ def cross_validate(t: DaeTriple) -> CrossValidationReport:
             if not same_span:
                 discrepancies.append("kernel span mismatch between constructions")
 
-    sc_a = strongly_controllable(t, AS_WRITTEN).verdict
-    sc_e = strongly_controllable(t, WITH_E).verdict
+    sc_a = strongly_controllable(inv, AS_WRITTEN).verdict
+    sc_e = strongly_controllable(inv, WITH_E).verdict
     if sc_a != sc_e:
         discrepancies.append(
             f"strong-controllability variants disagree: as-written={sc_a}, with-e={sc_e}"
@@ -272,5 +271,5 @@ __all__ = [
     "SampleSpec", "FrequencyRow", "RunConfig", "sample_triple",
     "estimate_frequency", "run_survey", "write_survey", "cross_validate",
     "CrossValidationReport", "rows_to_csv", "rows_to_json",
-    "RATIONAL_UNIFORM", "FLOAT_NORMAL", "CSV_COLUMNS",
+    "CSV_COLUMNS",
 ]

@@ -104,12 +104,6 @@ class RatMatrix:
                 out.append(sum((ri[k] * other[k, j] for k in range(self.cols)), Fraction(0)))
         return RatMatrix(self.rows, other.cols, out)
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols, self.rows,
-            [self[i, j] for j in range(self.cols) for i in range(self.rows)],
-        )
-
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
@@ -300,9 +294,23 @@ def rank_by_minors(M: RatMatrix) -> int:
     return 0
 
 
-def parse_matrix(rows: Sequence[Sequence[str]]) -> RatMatrix:
-    """Build a matrix from rows of rational strings like "-3/7" or "5"."""
-    return RatMatrix.from_rows([[Fraction(s) for s in row] for row in rows])
+def parse_matrix(rows: Sequence[Sequence[Union[str, int]]]) -> RatMatrix:
+    """Build a matrix from a list of rows, each a list of rational strings
+    like "-3/7" or "5" or of integers.
+
+    Anything else is rejected rather than guessed at: a row given as a
+    string (which would split into digits), a boolean, or a float (which
+    would be read as its binary expansion).
+    """
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValueError("a matrix must be a list of rows, each a list of entries")
+    return RatMatrix.from_rows([[_parse_entry(x) for x in row] for row in rows])
+
+
+def _parse_entry(x) -> Fraction:
+    if isinstance(x, bool) or not isinstance(x, (str, int)):
+        raise ValueError(f"entry {x!r} is neither a rational string nor an integer")
+    return Fraction(x)
 
 
 def matrix_to_strings(M: RatMatrix):

@@ -97,13 +97,17 @@ def generic_rank(PM: PolyMatrix) -> int:
     Every minor is a polynomial of degree at most max_degree * min(rows,
     cols), so evaluating at one more point than that bound and taking the
     maximum rank is exact: a nonzero minor cannot vanish at all of them.
+    Evaluation stops once the rank is full, which for a generic pencil is
+    at the first point.
     """
-    if PM.rows == 0 or PM.cols == 0:
+    full = min(PM.rows, PM.cols)
+    if full == 0:
         return 0
-    points = PM.max_degree * min(PM.rows, PM.cols) + 1
     best = 0
-    for x0 in range(points):
+    for x0 in range(PM.max_degree * full + 1):
         best = max(best, PM.eval(Fraction(x0)).rank())
+        if best == full:
+            break
     return best
 
 
@@ -129,27 +133,14 @@ def minor_gcd(PM: PolyMatrix, r: int) -> Poly:
     return g
 
 
-def rank_everywhere_ge(PM: PolyMatrix, d: int) -> bool:
-    """True iff rank of PM evaluated at lambda is >= d for every complex
-    lambda: no common complex root of the order-d minors, i.e. their gcd
-    is a nonzero constant."""
-    if d == 0:
-        return True
-    g = minor_gcd(PM, d)
-    return not g.is_zero() and g.is_constant()
+def rank_attained(drop: Poly, closed_rhp: bool = False) -> bool:
+    """Whether a pencil keeps rank d at every complex lambda (every lambda
+    with Re >= 0 when closed_rhp), given drop = minor_gcd(PM, d).
 
-
-def rank_on_closed_rhp_ge(PM: PolyMatrix, d: int) -> bool:
-    """True iff rank at lambda is >= d for every lambda with Re >= 0.
-
-    Every rank-drop point is a root of the minor gcd, so the condition is
-    exactly that the gcd has all roots in the open left half-plane.
+    The rank falls below d exactly at the roots of the gcd of the order-d
+    minors: a zero gcd means everywhere, a nonzero constant nowhere, and
+    otherwise the half-plane condition is the Hurwitz test on the gcd.
     """
-    if d == 0:
-        return True
-    g = minor_gcd(PM, d)
-    if g.is_zero():
+    if drop.is_zero():
         return False
-    if g.is_constant():
-        return True
-    return hurwitz_stable(g)
+    return drop.is_constant() or (closed_rhp and hurwitz_stable(drop))

@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from daectrl.algebra import Poly, hurwitz_stable, poly_gcd, resultant, roots_float, sylvester
+from daectrl.algebra import Poly, hurwitz_stable, poly_gcd, resultant, sylvester
 from daectrl.criteria import (
     AS_WRITTEN,
     Concept,
@@ -18,6 +18,7 @@ from daectrl.criteria import (
 )
 from daectrl.experiment import RunConfig, SampleSpec, estimate_frequency, write_survey
 from daectrl.gauss import apply_T, backsub_kernel
+from oracles import roots_float
 from daectrl.matrix import RatMatrix, hconcat, rank_by_minors
 
 SEED = 42

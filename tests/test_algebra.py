@@ -9,9 +9,10 @@ from daectrl.algebra import (
     poly_eval,
     poly_gcd,
     resultant,
-    roots_float,
     sylvester,
 )
+
+from oracles import roots_float
 
 
 def P(*asc):

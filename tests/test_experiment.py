@@ -5,7 +5,6 @@ import pytest
 from daectrl.cli import main
 from daectrl.criteria import Concept, DaeTriple
 from daectrl.experiment import (
-    FLOAT_NORMAL,
     RunConfig,
     SampleSpec,
     cross_validate,
@@ -42,18 +41,19 @@ class TestSampling:
             for x in m.entries:
                 assert abs(x) <= SPEC.bound
 
-    def test_float_normal_distribution(self):
-        spec = SampleSpec(seed=1, trials=5, distribution=FLOAT_NORMAL)
+    def test_denominators_within_bound(self):
+        spec = SampleSpec(seed=1, trials=5, bound=7)
         t = sample_triple(spec, 2, 2, 1, 0)
         assert t == sample_triple(spec, 2, 2, 1, 0)
-        assert all(x.denominator <= spec.denominator_scale for x in t.E.entries)
+        for m in (t.E, t.A, t.B):
+            assert all(x.denominator <= spec.bound for x in m.entries)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SampleSpec(seed=1, trials=0)
         with pytest.raises(ValueError):
             SampleSpec(seed=1, trials=1, bound=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # rational-uniform is the only distribution
             SampleSpec(seed=1, trials=1, distribution="uniform-float")
 
 
@@ -184,6 +184,30 @@ class TestCli:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         assert main(["check", "--input", str(p)]) == 2
+
+    @pytest.mark.parametrize(
+        "E",
+        [
+            ["12"],  # a row given as a string, not split into "1", "2"
+            [[True, "2"]],  # a JSON boolean, not read as 1
+            [[0.1, "2"]],  # a JSON float, not read as its binary expansion
+        ],
+        ids=["string_row", "boolean", "float"],
+    )
+    def test_check_malformed_entry_exit_2(self, tmp_path, capsys, E):
+        path = self.triple_file(tmp_path, {"E": E, "A": [["1", "2"]], "B": [["1"]]})
+        assert main(["check", "--input", path]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_check_non_object_exit_2(self, tmp_path, capsys):
+        path = self.triple_file(tmp_path, 5)
+        assert main(["check", "--input", path]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_check_integer_entries_accepted(self, tmp_path, capsys):
+        path = self.triple_file(tmp_path, {"E": [[1, 0]], "A": [["-1", 2]], "B": [[1]]})
+        assert main(["check", "--input", path]) == 0
+        assert "freely_initializable: yes" in capsys.readouterr().out
 
     def test_check_unknown_concept_exit_2(self, tmp_path):
         path = self.triple_file(

@@ -3,15 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from daectrl.algebra import Poly, poly_gcd, roots_float
+from daectrl.algebra import Poly, poly_gcd
 from daectrl.matrix import RatMatrix
 from daectrl.pencil import (
     PolyMatrix,
     build_pencil,
     generic_rank,
     minor_gcd,
-    rank_everywhere_ge,
-    rank_on_closed_rhp_ge,
+    rank_attained,
 )
 
 M = RatMatrix.from_rows
@@ -121,26 +120,36 @@ class TestMinorGcd:
             assert got == want
 
 
+def everywhere(pm, d):
+    return rank_attained(minor_gcd(pm, d))
+
+
+def on_closed_rhp(pm, d):
+    return rank_attained(minor_gcd(pm, d), closed_rhp=True)
+
+
 class TestQuantifiedRank:
     def test_everywhere(self):
-        assert rank_everywhere_ge(pm_from([[P(-2, 1), P(3)]]), 1)
-        assert not rank_everywhere_ge(pm_from([[P(-2, 1), Poly()]]), 1)
+        assert everywhere(pm_from([[P(-2, 1), P(3)]]), 1)
+        assert not everywhere(pm_from([[P(-2, 1), Poly()]]), 1)
         xI2_0 = pm_from([[P(0, 1), Poly(), Poly()], [Poly(), P(0, 1), Poly()]])
-        assert not rank_everywhere_ge(xI2_0, 2)  # gcd of minors is x^2
-        assert rank_everywhere_ge(xI2_0, 0)
+        assert not everywhere(xI2_0, 2)  # gcd of minors is x^2
+        assert everywhere(xI2_0, 0)
+        assert not everywhere(pm_from([[Poly(), Poly()]]), 1)  # zero gcd
 
     def test_closed_rhp(self):
-        assert not rank_on_closed_rhp_ge(pm_from([[P(-2, 1), Poly()]]), 1)  # drop at +2
-        assert rank_on_closed_rhp_ge(pm_from([[P(2, 1), Poly()]]), 1)       # drop at -2
-        assert not rank_on_closed_rhp_ge(pm_from([[P(0, 0, 1), Poly()]]), 1)  # drop at 0
+        assert not on_closed_rhp(pm_from([[P(-2, 1), Poly()]]), 1)  # drop at +2
+        assert on_closed_rhp(pm_from([[P(2, 1), Poly()]]), 1)       # drop at -2
+        assert not on_closed_rhp(pm_from([[P(0, 0, 1), Poly()]]), 1)  # drop at 0
+        assert not on_closed_rhp(pm_from([[Poly(), Poly()]]), 1)  # rank 0 everywhere
 
     def test_everywhere_implies_rhp(self):
         rng = random.Random(35)
         for _ in range(40):
             pm = random_poly_matrix(rng, rng.randint(1, 3), rng.randint(1, 4), max_deg=1)
             for d in range(min(pm.rows, pm.cols) + 1):
-                if rank_everywhere_ge(pm, d):
-                    assert rank_on_closed_rhp_ge(pm, d)
+                if everywhere(pm, d):
+                    assert on_closed_rhp(pm, d)
 
     def test_drop_points_are_gcd_roots(self):
         # a degree-1 minor gcd has one exact rational root; the rank must

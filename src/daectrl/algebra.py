@@ -6,15 +6,11 @@ Coefficients are `fractions.Fraction`; everything in here is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
+
+from .matrix import RatMatrix, Scalar, _frac, bareiss, clear_denominators
 
 NEG_INF = float("-inf")
-
-Scalar = Union[int, Fraction, str]
-
-
-def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class Poly:
@@ -112,14 +108,6 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
-    @staticmethod
-    def constant(c: Scalar) -> "Poly":
-        return Poly([c])
-
-    @staticmethod
-    def x() -> "Poly":
-        return Poly([0, 1])
-
     def to_strings(self):
         """Serialize as ascending-degree rational strings."""
         return [str(c) for c in self.coeffs]
@@ -129,7 +117,6 @@ class Poly:
         return Poly([Fraction(s) for s in strs])
 
 
-ZERO = Poly()
 ONE = Poly([1])
 
 
@@ -158,8 +145,6 @@ def sylvester(p: Poly, q: Poly):
     shifted columns of q, coefficients ascending down each column with the
     constant term topmost.
     """
-    from .matrix import RatMatrix
-
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of zero polynomial undefined")
     n, m = len(p.coeffs) - 1, len(q.coeffs) - 1
@@ -183,22 +168,6 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def hurwitz_matrix(p: Poly):
-    """The n-by-n Hurwitz matrix with rows alternating odd/even coefficient
-    slices: entry (i, j) is p_{2j - i} (1-based), zero when out of range."""
-    from .matrix import RatMatrix
-
-    n = len(p.coeffs) - 1
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            k = 2 * j - i
-            row.append(p.coeffs[k] if 0 <= k <= n else Fraction(0))
-        rows.append(row)
-    return RatMatrix.from_rows(rows) if n else RatMatrix.empty(0, 0)
-
-
 def hurwitz_stable(p: Poly) -> bool:
     """Exact test that every complex root lies in the open left half-plane.
 
@@ -207,6 +176,9 @@ def hurwitz_stable(p: Poly) -> bool:
     must be positive. (Without the normalization an all-negative stable
     polynomial fails the even-degree minors, since a degree-d minor scales
     by (-1)^d under negation while the root set does not move.)
+    The coefficients are scaled to integers by their positive lcm, which
+    keeps every minor's sign, and the minors are read off one pass of
+    `bareiss` without row exchanges, whose pivots they are.
     A nonzero constant is stable (no roots).
     """
     if p.is_zero():
@@ -216,10 +188,10 @@ def hurwitz_stable(p: Poly) -> bool:
     s0 = _sign(p.coeffs[0])
     if any(_sign(c) != s0 for c in p.coeffs):
         return False
-    H = hurwitz_matrix(p if s0 > 0 else -p)
-    n = H.rows
-    for d in range(1, n + 1):
-        sel = tuple(range(d))
-        if H.submatrix(sel, sel).det() <= 0:
-            return False
-    return True
+    coeffs, _ = clear_denominators(c * s0 for c in p.coeffs)
+    n = len(coeffs) - 1
+    # entry (i, j), 1-based, is p_{2j - i}, zero when out of range
+    H = [[coeffs[2 * j - i] if 0 <= 2 * j - i <= n else 0
+          for j in range(1, n + 1)]
+         for i in range(1, n + 1)]
+    return all(d > 0 for d in bareiss(H, exchange=False))

@@ -54,12 +54,12 @@ def cmd_check(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
+    if Concept.ODE_CONTROLLABLE in concepts and triple.l != triple.n:
+        print(f"note: {Concept.ODE_CONTROLLABLE.value} skipped: needs l = n "
+              f"(l={triple.l}, n={triple.n})", file=sys.stderr)
+        concepts = [c for c in concepts if c is not Concept.ODE_CONTROLLABLE]
     inv = SystemInvariants(triple)
-    reports = [
-        evaluate(c, inv, args.strong_variant)
-        for c in concepts
-        if c is not Concept.ODE_CONTROLLABLE or triple.l == triple.n
-    ]
+    reports = [evaluate(c, inv, args.strong_variant) for c in concepts]
 
     if args.format == "json":
         payload = [

@@ -1,7 +1,9 @@
-"""Dense exact rational matrices.
+"""Dense exact rational matrices and the one integer elimination kernel.
 
-Determinant and rank use fraction-free Bareiss elimination; kernel bases
-come from a reduced row-echelon form with deterministic leftmost-nonzero
+`bareiss` is fraction-free elimination over the integers. Determinant and
+rank scale each row to integers by the lcm of its denominators and run it;
+the pencil minors and the Hurwitz minors use it too. Kernel bases come
+from a reduced row-echelon form with deterministic leftmost-nonzero
 pivoting. Zero-row and zero-column matrices are first-class citizens.
 """
 
@@ -9,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence, Tuple, Union
+from math import lcm, prod
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction, str]
 
@@ -117,50 +120,19 @@ class RatMatrix:
             [self[i, j] for i in row_pick for j in col_pick],
         )
 
-    def det(self) -> Fraction:
-        """Exact determinant by fraction-free Bareiss elimination.
+    def _integer_rows(self):
+        """Each row times the lcm of its denominators, as lists of integers,
+        and the product of those positive row scales."""
+        rows = [clear_denominators(self.row(i)) for i in range(self.rows)]
+        return [ints for ints, _ in rows], prod(s for _, s in rows)
 
-        det of the 0x0 matrix is 1 (the empty product).
-        """
+    def det(self) -> Fraction:
+        """Exact determinant: `bareiss` on the row-scaled integer matrix,
+        divided by the row scales. det of the 0x0 matrix is 1."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return Fraction(1)
-        if all(e.denominator == 1 for e in self.entries):
-            # integer fast path: Bareiss divisions are exact in Z
-            m = [[int(e) for e in self.row(i)] for i in range(n)]
-            sign = 1
-            prev = 1
-            for k in range(n - 1):
-                if m[k][k] == 0:
-                    swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                    if swap is None:
-                        return Fraction(0)
-                    m[k], m[swap] = m[swap], m[k]
-                    sign = -sign
-                for i in range(k + 1, n):
-                    for j in range(k + 1, n):
-                        m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                    m[i][k] = 0
-                prev = m[k][k]
-            return Fraction(sign * m[n - 1][n - 1])
-        m = self.to_lists()
-        sign = 1
-        prev = Fraction(1)
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if swap is None:
-                    return Fraction(0)
-                m[k], m[swap] = m[swap], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-                m[i][k] = Fraction(0)
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        rows, scale = self._integer_rows()
+        return Fraction(integer_det(rows), scale)
 
     def minor(self, row_pick: Sequence[int], col_pick: Sequence[int]) -> Fraction:
         if len(row_pick) != len(col_pick):
@@ -168,27 +140,9 @@ class RatMatrix:
         return self.submatrix(row_pick, col_pick).det()
 
     def rank(self) -> int:
-        """Exact rank by pivoted fraction-free elimination."""
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        m = self.to_lists()
-        nr, nc = self.rows, self.cols
-        r = 0
-        prev = Fraction(1)
-        for c in range(nc):
-            if r == nr:
-                break
-            piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            for i in range(r + 1, nr):
-                for j in range(c + 1, nc):
-                    m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) / prev
-                m[i][c] = Fraction(0)
-            prev = m[r][c]
-            r += 1
-        return r
+        """Exact rank: the pivot count of `bareiss` on the row-scaled
+        integer matrix (a positive row scale leaves the rank unchanged)."""
+        return sum(1 for _ in bareiss(self._integer_rows()[0]))
 
     def rref(self):
         """Reduced row-echelon form; returns (rows as lists, pivot columns)."""
@@ -248,6 +202,61 @@ class RatMatrix:
                 v[c] = -m[r][f]
             cols.append(v)
         return RatMatrix(nc, len(cols), [cols[j][i] for i in range(nc) for j in range(len(cols))])
+
+
+def clear_denominators(values: Iterable[Fraction]) -> Tuple[List[int], int]:
+    """The values times the lcm of their denominators, and that lcm (1 for
+    no values)."""
+    values = list(values)
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def bareiss(m: List[List[int]], exchange: bool = True) -> Iterator[int]:
+    """Fraction-free elimination of the integer rows m, in place; yields the
+    signed pivots (Bareiss, Math. Comp. 1968).
+
+    Columns are taken left to right. With exchange, the first nonzero entry
+    of a column at or below the current row is brought up by a row exchange
+    and a column without one is skipped, so the number of pivots is the
+    rank. Each yielded value is the pivot times the sign of the exchanges
+    so far: for a nonsingular square matrix the last one is its
+    determinant. Without exchange, pivot k is the leading principal minor
+    of order k + 1; elimination stops after yielding the first zero one.
+    Every division is exact in Z.
+    """
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    r, prev, sign = 0, 1, 1
+    for c in range(nc):
+        if r == nr:
+            return
+        if m[r][c] == 0:
+            if not exchange:
+                yield 0
+                return
+            piv = next((i for i in range(r + 1, nr) if m[i][c] != 0), None)
+            if piv is None:
+                continue
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        pivot_row = m[r]
+        p = pivot_row[c]
+        tail = pivot_row[c + 1:]
+        for i in range(r + 1, nr):
+            row = m[i]
+            f = row[c]
+            row[c + 1:] = [(a * p - f * b) // prev for a, b in zip(row[c + 1:], tail)]
+        prev = p
+        r += 1
+        yield sign * p
+
+
+def integer_det(m: List[List[int]]) -> int:
+    """Determinant of the square integer rows m (consumed) by `bareiss`;
+    1 for no rows."""
+    pivots = [1] + list(bareiss(m))
+    return pivots[-1] if len(pivots) == len(m) + 1 else 0
 
 
 def _check_pick(pick: Tuple[int, ...], bound: int, what: str) -> None:

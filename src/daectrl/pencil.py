@@ -3,16 +3,21 @@
 Rank over the rational-function field is decided by exact evaluation at
 more points than the degree of any minor; rank conditions quantified over
 the complex plane (or its closed right half) are reduced to the gcd of all
-order-r minors plus the Hurwitz test. No complex arithmetic anywhere.
+order-r minors plus the Hurwitz test. Each minor is computed by
+evaluation and interpolation: integer determinants at the points 0..D from
+the shared `matrix.bareiss` kernel, then Newton forward differences, so a
+minor of order r costs polynomial time rather than r! cofactor terms. No
+complex arithmetic anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Sequence
 
 from .algebra import ONE, Poly, hurwitz_stable, poly_eval, poly_gcd
-from .matrix import RatMatrix, enumerate_selections
+from .matrix import RatMatrix, clear_denominators, enumerate_selections, integer_det
 
 
 class PolyMatrix:
@@ -45,36 +50,6 @@ class PolyMatrix:
         return RatMatrix(
             self.rows, self.cols, [poly_eval(e, x0) for e in self.entries]
         )
-
-    def submatrix(self, row_pick, col_pick) -> "PolyMatrix":
-        return PolyMatrix(
-            len(row_pick), len(col_pick),
-            [self[i, j] for i in row_pick for j in col_pick],
-        )
-
-    def det(self) -> Poly:
-        """Determinant over Q[x] by cofactor expansion along the first row.
-
-        Fine at pencil scale (order <= 6); det of the 0x0 matrix is 1.
-        """
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("determinant of non-square polynomial matrix")
-        if n == 0:
-            return ONE
-        if n == 1:
-            return self[0, 0]
-        acc = Poly()
-        rest_rows = tuple(range(1, n))
-        for j in range(n):
-            a = self[0, j]
-            if a.is_zero():
-                continue
-            cols = tuple(c for c in range(n) if c != j)
-            cof = self.submatrix(rest_rows, cols).det()
-            term = a * cof
-            acc = acc + term if j % 2 == 0 else acc - term
-        return acc
 
 
 def build_pencil(E: RatMatrix, A: RatMatrix, B: RatMatrix) -> PolyMatrix:
@@ -117,20 +92,58 @@ def minor_gcd(PM: PolyMatrix, r: int) -> Poly:
     Returns the zero polynomial when every order-r minor vanishes
     identically; stops early once the running gcd becomes a nonzero
     constant (all further gcds stay constant).
+
+    Each row is scaled to integer coefficients, which multiplies every
+    minor by a nonzero constant and leaves the monic gcd alone. A minor's
+    degree is at most the sum d of its columns' degrees, so the integer
+    pencil is evaluated once at x = 0..D for the largest such d, and each
+    minor is d + 1 integer determinants, interpolated to d! times itself.
     """
     if r > min(PM.rows, PM.cols):
         raise ValueError(f"minor order {r} exceeds min({PM.rows}, {PM.cols})")
     if r == 0:
         return ONE
+    deg = [max(0, *(len(PM[i, j].coeffs) - 1 for i in range(PM.rows)))
+           for j in range(PM.cols)]
+    points = _integer_points(PM, sum(sorted(deg)[-r:]))
     g = Poly()
     for rp, cp in enumerate_selections(PM.rows, PM.cols, r):
-        m = PM.submatrix(rp, cp).det()
-        if m.is_zero():
+        d = sum(deg[j] for j in cp)
+        values = [integer_det([[M[i][j] for j in cp] for i in rp]) for M in points[:d + 1]]
+        if not any(values):
             continue
-        g = poly_gcd(g, m)
+        g = poly_gcd(g, Poly(_interpolate(values)))
         if g.is_constant() and not g.is_zero():
             return ONE
     return g
+
+
+def _integer_points(PM: PolyMatrix, D: int):
+    """PM at x = 0..D as integer matrices (lists of rows), each row of PM
+    first scaled by the lcm of its coefficient denominators."""
+    rows = []
+    for i in range(PM.rows):
+        row = PM.entries[i * PM.cols:(i + 1) * PM.cols]
+        ints = iter(clear_denominators(c for e in row for c in e.coeffs)[0])
+        rows.append([[next(ints) for _ in e.coeffs] for e in row])
+    return [[[sum(c * x ** k for k, c in enumerate(e)) for e in row] for row in rows]
+            for x in range(D + 1)]
+
+
+def _interpolate(values):
+    """D! p as ascending integer coefficients, from values = p(0..D) of a
+    polynomial p of degree at most D: the Newton forward-difference form
+    p(x) = sum_k (Delta^k p)(0) x(x-1)...(x-k+1) / k!."""
+    D = len(values) - 1
+    out = [0] * (D + 1)
+    falling = [1]
+    for k in range(D + 1):
+        w = factorial(D) // factorial(k) * values[0]
+        for j, c in enumerate(falling):
+            out[j] += w * c
+        values = [b - a for a, b in zip(values, values[1:])]
+        falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
+    return out
 
 
 def rank_attained(drop: Poly, closed_rhp: bool = False) -> bool:

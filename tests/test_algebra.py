@@ -150,6 +150,14 @@ class TestHurwitz:
         with pytest.raises(ValueError):
             hurwitz_stable(Poly())
 
+    def test_zero_hurwitz_minor_is_unstable(self):
+        # positive coefficients but roots on the imaginary axis: the second
+        # Hurwitz minor is zero, and elimination stops there
+        assert not hurwitz_stable(P(1, 1, 1, 1))  # (x+1)(x^2+1)
+        assert not hurwitz_stable(P(Fraction(1, 2), Fraction(1, 3),
+                                    Fraction(1, 2), Fraction(1, 3)))  # (x+3/2)(x^2+1)/3
+        assert hurwitz_stable(P(Fraction(1, 6), Fraction(5, 6), 1))  # (x+1/2)(x+1/3)
+
     def test_agrees_with_root_oracle(self):
         rng = random.Random(9)
         checked = 0

@@ -209,6 +209,19 @@ class TestCli:
         assert main(["check", "--input", path]) == 0
         assert "freely_initializable: yes" in capsys.readouterr().out
 
+    def test_check_says_when_ode_is_skipped(self, tmp_path, capsys):
+        path = self.triple_file(tmp_path, {"E": [[1, 0]], "A": [["-1", 2]], "B": [[1]]})
+        rc = main(["check", "--input", path, "--concepts",
+                   "ode_controllable,freely_initializable"])
+        out, err = capsys.readouterr()
+        assert rc == 0
+        assert out == "freely_initializable: yes  [rk[E,B]=1, rk[E,A,B]=1]\n"
+        assert err == "note: ode_controllable skipped: needs l = n (l=1, n=2)\n"
+        square = self.triple_file(tmp_path, {"E": [[1]], "A": [[2]], "B": [[1]]})
+        assert main(["check", "--input", square, "--concepts", "ode_controllable"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("ode_controllable: yes") and err == ""
+
     def test_check_unknown_concept_exit_2(self, tmp_path):
         path = self.triple_file(
             tmp_path, {"E": [["1"]], "A": [["1"]], "B": [["1"]]}

@@ -16,6 +16,7 @@ import pytest
 
 import daectrl.criteria as criteria
 import daectrl.pencil as pencil
+from daectrl.algebra import Poly
 from daectrl.cli import main
 from daectrl.criteria import (
     AS_WRITTEN,
@@ -26,7 +27,7 @@ from daectrl.criteria import (
     SystemInvariants,
     evaluate,
 )
-from daectrl.experiment import RunConfig, SampleSpec, run_survey
+from daectrl.experiment import RunConfig, SampleSpec, run_survey, sample_triple
 from daectrl.matrix import RatMatrix, hconcat, rank_by_minors
 
 
@@ -114,6 +115,27 @@ class TestPencilInvariants:
                 gcd = sympy.Poly(sympy.gcd_list(minors[want_g]), x).monic()
                 want_drop = [Fraction(int(c.p), int(c.q)) for c in reversed(gcd.all_coeffs())]
             assert list(inv.drop.coeffs) == want_drop, t
+
+
+def drop_family(n, m):
+    """The worst case for the drop polynomial: a random (n, n, m) triple with
+    row 0 of A set to 3 times row 0 of E and row 0 of B zeroed, so x - 3
+    divides every order-n minor and no minor gcd exits early."""
+    t = sample_triple(SampleSpec(seed=7, trials=1), n, n, m, 0)
+    A = t.A.to_lists()
+    A[0] = [3 * e for e in t.E.row(0)]
+    B = t.B.to_lists()
+    B[0] = [0] * m
+    return DaeTriple(t.E, RatMatrix.from_rows(A), RatMatrix.from_rows(B))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_drop_family_at_scale(n):
+    """A scale guard: about 0.2 s for both sizes together with polynomial
+    minors, 22 s and more with cofactor expansion at r! per minor."""
+    inv = SystemInvariants(drop_family(n, 3))
+    assert inv.g == n
+    assert inv.drop == Poly([-3, 1])
 
 
 # a => b for every triple (the strong concepts in the with-e variant).

@@ -5,10 +5,13 @@ import pytest
 
 from daectrl.matrix import (
     RatMatrix,
+    bareiss,
     enumerate_selections,
     hconcat,
     rank_by_minors,
 )
+
+from oracles import cofactor_det
 
 M = RatMatrix.from_rows
 
@@ -17,21 +20,9 @@ def random_matrix(rng, rows, cols, lo=-5, hi=5):
     return RatMatrix(rows, cols, [rng.randint(lo, hi) for _ in range(rows * cols)])
 
 
-def cofactor_det(m):
-    """Independent determinant oracle: recursive cofactor expansion."""
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return m[0, 0]
-    total = Fraction(0)
-    rest = tuple(range(1, n))
-    for j in range(n):
-        if m[0, j] == 0:
-            continue
-        sub = m.submatrix(rest, tuple(c for c in range(n) if c != j))
-        total += (-1) ** j * m[0, j] * cofactor_det(sub)
-    return total
+def random_rational_matrix(rng, rows, cols, den=100):
+    return RatMatrix(rows, cols, [Fraction(rng.randint(-9, 9), rng.randint(1, den))
+                                  for _ in range(rows * cols)])
 
 
 class TestConstruction:
@@ -104,7 +95,7 @@ class TestDet:
         for _ in range(120):
             n = rng.randint(1, 4)
             m = random_matrix(rng, n, n)
-            assert m.det() == cofactor_det(m)
+            assert m.det() == cofactor_det(m.to_lists())
 
     def test_minor(self):
         m = M([[1, 2], [3, 4]])
@@ -142,6 +133,74 @@ class TestRank:
             i = rng.randrange(3)
             rows[i] = [Fraction(7, 3) * x for x in rows[i]]
             assert RatMatrix.from_rows(rows).rank() == m.rank()
+
+
+class TestIntegerElimination:
+    """rank and det scale each row to integers and run `bareiss`; checked
+    against the brute-force minor rank and the cofactor determinant."""
+
+    def test_denominators(self):
+        rng = random.Random(26)
+        for _ in range(150):
+            r, c = rng.randint(1, 4), rng.randint(1, 4)
+            m = random_rational_matrix(rng, r, c)
+            assert m.rank() == rank_by_minors(m)
+            if r == c:
+                assert m.det() == cofactor_det(m.to_lists())
+
+    def test_rank_deficient(self):
+        rng = random.Random(27)
+        for _ in range(80):
+            r, k, c = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 4)
+            m = random_rational_matrix(rng, r, k, 7) @ random_rational_matrix(rng, k, c, 7)
+            assert m.rank() == rank_by_minors(m) <= k
+            if r == c:
+                assert m.det() == cofactor_det(m.to_lists())
+                if k < r:
+                    assert m.det() == 0
+
+    def test_zero_rows_and_columns(self):
+        m = M([[0, 0, 0], ["1/2", 0, "-3/4"], [0, 0, 0], ["-1/3", 0, "5/7"]])
+        assert m.rank() == rank_by_minors(m) == 2
+        for sq in (M([[0, 0], ["1/2", 3]]), M([[0, "1/2"], [0, 3]]), RatMatrix.zero(3, 3)):
+            assert sq.det() == cofactor_det(sq.to_lists()) == 0
+            assert sq.rank() == rank_by_minors(sq)
+        # a zero leading column forces the first row exchange
+        m = M([[0, 1, 2], [0, 3, "1/4"], ["2/3", 0, 5]])
+        assert m.det() == cofactor_det(m.to_lists()) and m.rank() == 3
+
+    def test_empty_shapes(self):
+        for k in range(4):
+            assert RatMatrix(0, k, ()).rank() == 0
+            assert RatMatrix(k, 0, ()).rank() == 0
+            assert rank_by_minors(RatMatrix(k, 0, ())) == 0
+        assert RatMatrix(0, 0, ()).det() == 1 == cofactor_det([])
+
+    def test_negative_entries(self):
+        m = M([[-2, "-1/3"], ["-5/2", -7]])
+        assert m.det() == Fraction(79, 6) == cofactor_det(m.to_lists())
+        assert m.rank() == 2
+        assert M([[-1, "-2/3"], [-3, -2]]).rank() == 1
+        assert M([[-1, "-2/3"], [-3, -2]]).det() == 0
+
+    def test_exchange_signs(self):
+        assert M([[0, 1], [1, 0]]).det() == -1
+        assert M([[0, 1, 0], [0, 0, 1], [1, 0, 0]]).det() == 1
+        assert M([[0, 0, "1/2"], [0, 3, 0], [-2, 0, 0]]).det() == 3
+
+    def test_leading_principal_minors_without_exchange(self):
+        rng = random.Random(28)
+        stopped = 0
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            want = [cofactor_det([r[:k] for r in rows[:k]]) for k in range(1, n + 1)]
+            got = list(bareiss([list(r) for r in rows], exchange=False))
+            if 0 in want:
+                want = want[:want.index(0) + 1]
+                stopped += 1
+            assert got == want
+        assert stopped > 10  # the early stop is exercised
 
 
 class TestKernel:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from daectrl.algebra import Poly, poly_gcd
+from daectrl.algebra import ONE, Poly
 from daectrl.matrix import RatMatrix
 from daectrl.pencil import (
     PolyMatrix,
@@ -12,6 +12,8 @@ from daectrl.pencil import (
     minor_gcd,
     rank_attained,
 )
+
+from oracles import cofactor_det, cofactor_minor_gcd
 
 M = RatMatrix.from_rows
 
@@ -112,12 +114,85 @@ class TestMinorGcd:
         rng = random.Random(34)
         for _ in range(30):
             pm = random_poly_matrix(rng, 2, 2, max_deg=1)
-            minors = [pm.det()]
-            got = minor_gcd(pm, 2)
-            want = Poly()
-            for m in minors:
-                want = poly_gcd(want, m)
-            assert got == want
+            det = cofactor_det([[pm[0, 0], pm[0, 1]], [pm[1, 0], pm[1, 1]]], ONE)
+            assert minor_gcd(pm, 2) == det.monic()
+
+
+def random_rational(rng, rows, cols, den=100):
+    return RatMatrix(rows, cols, [Fraction(rng.randint(-9, 9), rng.randint(1, den))
+                                  for _ in range(rows * cols)])
+
+
+def assert_matches_oracle(pm):
+    for r in range(min(pm.rows, pm.cols) + 1):
+        assert minor_gcd(pm, r) == cofactor_minor_gcd(pm, r), (pm.entries, r)
+
+
+class TestMinorGcdDifferential:
+    """Evaluation-interpolation against the gcd of cofactor-expanded minors,
+    at every order r."""
+
+    def test_random_pencils(self):
+        rng = random.Random(37)
+        for _ in range(40):
+            l, n, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
+            assert_matches_oracle(build_pencil(
+                random_rational(rng, l, n), random_rational(rng, l, n),
+                random_rational(rng, l, m)))
+
+    def test_structured_pencils(self):
+        # share a root: row 0 of A is 3 times row 0 of E, row 0 of B is zero
+        rng = random.Random(38)
+        for _ in range(20):
+            l, n, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
+            E, A, B = (random_rational(rng, l, k, 9) for k in (n, n, m))
+            A = RatMatrix.from_rows([[3 * e for e in E.row(0)]] + A.to_lists()[1:], n)
+            B = RatMatrix.from_rows([[0] * m] + B.to_lists()[1:], m)
+            assert_matches_oracle(build_pencil(E, A, B))
+
+    def test_higher_degree_entries(self):
+        rng = random.Random(39)
+        for _ in range(25):
+            rows, cols = rng.randint(1, 3), rng.randint(1, 4)
+            pm = PolyMatrix(rows, cols, [
+                Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 12))
+                      for _ in range(rng.randint(0, 3))])
+                for _ in range(rows * cols)])
+            assert_matches_oracle(pm)
+
+    def test_e_zero(self):
+        rng = random.Random(40)
+        for _ in range(15):
+            l, n, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
+            pm = build_pencil(RatMatrix.zero(l, n), random_rational(rng, l, n),
+                              random_rational(rng, l, m))
+            assert pm.max_degree == 0
+            assert_matches_oracle(pm)
+            for r in range(min(l, n + m) + 1):
+                assert minor_gcd(pm, r).is_constant()
+
+    def test_zero_pencil(self):
+        pm = build_pencil(RatMatrix.zero(3, 2), RatMatrix.zero(3, 2), RatMatrix.zero(3, 2))
+        assert_matches_oracle(pm)
+        assert minor_gcd(pm, 0) == ONE
+        for r in (1, 2, 3):
+            assert minor_gcd(pm, r).is_zero()
+
+    def test_above_generic_rank(self):
+        rng = random.Random(41)
+        seen = 0
+        for _ in range(40):
+            l, n, m = rng.randint(2, 4), rng.randint(1, 3), 1
+            # rank-1 E and A and a zero B keep the generic rank below l
+            u = random_rational(rng, l, 1, 9)
+            E = u @ random_rational(rng, 1, n, 9)
+            A = u @ random_rational(rng, 1, n, 9)
+            pm = build_pencil(E, A, RatMatrix.zero(l, m))
+            g = generic_rank(pm)
+            for r in range(g + 1, min(l, n + m) + 1):
+                assert minor_gcd(pm, r).is_zero() and cofactor_minor_gcd(pm, r).is_zero()
+                seen += 1
+        assert seen > 20
 
 
 def everywhere(pm, d):
